@@ -13,7 +13,9 @@
 //!   a fixed batch size the paged cost stays within 2× across the
 //!   1× → 16× scale sweep;
 //! * ingest is **allocation-quiet for readers** — read p99 under ingest
-//!   stays within 2× of idle p99.
+//!   stays within 2× of idle p99;
+//! * the swap is **a pointer exchange** — median swap under 10 ms in
+//!   every cell.
 //!
 //! Between timed ingests the store is reset to the scaled base graph
 //! (itself a cheap COW publish) so every sample runs against the same
@@ -343,6 +345,17 @@ fn main() {
             sr["scale"],
             sr["ingest_read_p99_us"].as_f64().unwrap_or(0.0),
             sr["idle_read_p99_us"].as_f64().unwrap_or(0.0)
+        );
+    }
+
+    // Gate 4: the swap is a pointer exchange at every scale and batch.
+    for (scale, cell) in &cells {
+        assert!(
+            cell.swap_us_median < 10_000.0,
+            "median swap {}us at {scale}x/batch {} — the swap should be a \
+             pointer exchange, not a copy under the lock",
+            cell.swap_us_median,
+            cell.batch_size
         );
     }
     println!("all gates passed");

@@ -1,8 +1,9 @@
 //! Docs link checker: every relative Markdown link in the repository's
 //! documentation must point at a file that exists, every `#anchor` must
-//! match a real heading, and every backtick path reference (`crates/…`,
-//! `docs/…`, …) must name a real file or directory. Run by CI so the
-//! operator docs cannot silently rot as the tree moves.
+//! match a real heading, every backtick path reference (`crates/…`,
+//! `docs/…`, …) must name a real file or directory, and every
+//! `--bin NAME` / `--example NAME` must name a target that still builds.
+//! Run by CI so the operator docs cannot silently rot as the tree moves.
 //!
 //! ```text
 //! cargo run --release -p chatiyp-bench --bin docs_check
@@ -14,11 +15,12 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Markdown files checked: everything at the repository root plus
-/// docs/. The change log and the issue scratchpad are excluded — they
-/// describe past and future states of the tree, so their references
+/// docs/. The change log, the issue scratchpad and the roadmap are
+/// excluded — they describe past and future states of the tree (the
+/// roadmap names paths to delete, which then are), so their references
 /// legitimately dangle.
 fn doc_files(root: &Path) -> Vec<PathBuf> {
-    const EXCLUDED: [&str; 2] = ["CHANGES.md", "ISSUE.md"];
+    const EXCLUDED: [&str; 3] = ["CHANGES.md", "ISSUE.md", "ROADMAP.md"];
     let mut out = Vec::new();
     for dir in [root.to_path_buf(), root.join("docs")] {
         let Ok(entries) = fs::read_dir(&dir) else {
@@ -139,6 +141,39 @@ fn path_refs(text: &str) -> Vec<String> {
     out
 }
 
+/// Extracts the `(flag, NAME)` of every `--bin NAME` / `--example NAME`
+/// — fenced code included, since that is where commands are quoted.
+fn target_refs(text: &str) -> Vec<(&'static str, String)> {
+    let mut out = Vec::new();
+    for flag in ["--bin", "--example"] {
+        for (at, _) in text.match_indices(flag) {
+            // `--bins` and the like are other flags, not a named target.
+            let Some(rest) = text[at + flag.len()..].strip_prefix(' ') else {
+                continue;
+            };
+            let name: String = rest
+                .trim_start_matches(' ')
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || *c == '_' || *c == '-')
+                .collect();
+            if !name.is_empty() {
+                out.push((flag, name));
+            }
+        }
+    }
+    out
+}
+
+/// The source file behind a `--bin` / `--example` name: the umbrella
+/// crate's one binary, a bench-crate bin, or a root example.
+fn target_source(root: &Path, flag: &str, name: &str) -> PathBuf {
+    match (flag, name) {
+        ("--bin", "chatiyp") => root.join("src/main.rs"),
+        ("--bin", _) => root.join(format!("crates/bench/src/bin/{name}.rs")),
+        _ => root.join(format!("examples/{name}.rs")),
+    }
+}
+
 fn main() {
     let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
         .canonicalize()
@@ -193,6 +228,13 @@ fn main() {
             // checked the same way.
             if !root.join(p.trim_end_matches('/')).exists() {
                 broken.push(format!("{rel}: backtick path does not exist: {p}"));
+            }
+        }
+
+        for (flag, name) in target_refs(&text) {
+            checked += 1;
+            if !target_source(&root, flag, &name).exists() {
+                broken.push(format!("{rel}: no such target: {flag} {name}"));
             }
         }
     }

@@ -7,7 +7,7 @@
 //!   text → parsed query, shared as `Arc<Query>` across threads. Hit on
 //!   any repeat of the text, even when the result tier misses.
 //! * **Tier 2 — result cache** (this module): `(normalized query, params)`
-//!   → materialized [`QueryResult`], bounded LRU with optional TTL.
+//!   → materialized [`QueryResult`], bounded LRU.
 //!
 //! Correctness rests on the graph's monotonic **write epoch**
 //! ([`iyp_graphdb::Graph::epoch`]), read off the immutable
@@ -23,8 +23,8 @@
 //!
 //! Hits return the result behind an [`Arc`] so heavy rows are never
 //! copied on the hot path; counters (hits, misses, evictions, epoch
-//! invalidations, TTL expirations) are exported via [`QueryCache::stats`]
-//! and surfaced by the server's `/stats` endpoint.
+//! invalidations) are exported via [`QueryCache::stats`] and surfaced by
+//! the server's `/stats` endpoint.
 
 use crate::obs::STAGE_METRIC;
 use iyp_cypher::cache::Lru;
@@ -34,7 +34,7 @@ use iyp_obs::{Histogram, Registry};
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Configuration of the query cache.
 #[derive(Debug, Clone)]
@@ -46,10 +46,6 @@ pub struct CacheConfig {
     pub capacity: usize,
     /// Maximum resident parsed plans (tier 1).
     pub plan_capacity: usize,
-    /// Results older than this are re-executed even at an unchanged
-    /// epoch. `None` disables TTL expiry (the epoch alone guarantees
-    /// correctness; a TTL only bounds staleness across graph *swaps*).
-    pub ttl: Option<Duration>,
 }
 
 impl Default for CacheConfig {
@@ -58,7 +54,6 @@ impl Default for CacheConfig {
             enabled: true,
             capacity: 1024,
             plan_capacity: 512,
-            ttl: None,
         }
     }
 }
@@ -74,8 +69,6 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Result entries discarded because the graph epoch moved.
     pub invalidations: u64,
-    /// Result entries discarded because their TTL elapsed.
-    pub expirations: u64,
     /// Live result entries.
     pub len: usize,
     /// Result-tier capacity.
@@ -88,8 +81,6 @@ struct CachedResult {
     result: Arc<QueryResult>,
     /// Graph epoch the result was computed at.
     epoch: u64,
-    /// Insertion time, for TTL expiry.
-    inserted: Instant,
 }
 
 /// Pre-resolved histogram handles for the per-query stages, so the hot
@@ -126,7 +117,6 @@ pub struct QueryCache {
     misses: AtomicU64,
     evictions: AtomicU64,
     invalidations: AtomicU64,
-    expirations: AtomicU64,
     /// Stage latency histograms, when a metric registry is attached.
     timers: Option<StageTimers>,
 }
@@ -148,7 +138,6 @@ impl QueryCache {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
-            expirations: AtomicU64::new(0),
             timers: None,
         }
     }
@@ -193,18 +182,6 @@ impl QueryCache {
         self.get_or_execute_with_limits(snap, src, params, ExecLimits::none())
     }
 
-    /// [`QueryCache::get_or_execute`] with a wall-clock deadline applied
-    /// to cold executions — the server's untrusted-Cypher entry point.
-    pub fn get_or_execute_with_deadline(
-        &self,
-        snap: &GraphSnapshot,
-        src: &str,
-        params: &Params,
-        timeout: Duration,
-    ) -> Result<Arc<QueryResult>, CypherError> {
-        self.get_or_execute_with_limits(snap, src, params, ExecLimits::timeout(timeout))
-    }
-
     /// The general form: cold executions run under `limits`.
     pub fn get_or_execute_with_limits(
         &self,
@@ -228,17 +205,12 @@ impl QueryCache {
         {
             let lookup_start = self.timers.as_ref().map(|_| Instant::now());
             let mut lru = self.lock();
+            // `Err` marks an entry recorded at another epoch: stale.
             let verdict = lru.get(&key).map(|entry| {
-                if entry.epoch != epoch {
-                    Err(&self.invalidations)
-                } else if self
-                    .config
-                    .ttl
-                    .is_some_and(|ttl| entry.inserted.elapsed() > ttl)
-                {
-                    Err(&self.expirations)
-                } else {
+                if entry.epoch == epoch {
                     Ok(Arc::clone(&entry.result))
+                } else {
+                    Err(())
                 }
             });
             if let (Some(t), Some(t0)) = (&self.timers, lookup_start) {
@@ -249,8 +221,8 @@ impl QueryCache {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(result);
                 }
-                Some(Err(counter)) => {
-                    counter.fetch_add(1, Ordering::Relaxed);
+                Some(Err(())) => {
+                    self.invalidations.fetch_add(1, Ordering::Relaxed);
                     lru.remove(&key);
                 }
                 None => {}
@@ -263,7 +235,6 @@ impl QueryCache {
         let entry = CachedResult {
             result: Arc::clone(&result),
             epoch,
-            inserted: Instant::now(),
         };
         if self.lock().insert(key, entry) {
             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -337,7 +308,6 @@ impl QueryCache {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
-            expirations: self.expirations.load(Ordering::Relaxed),
             len: lru.len(),
             capacity: lru.capacity(),
             plan: self.plans.stats(),
@@ -433,22 +403,6 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.invalidations, 1);
         assert_eq!(s.misses, 2);
-    }
-
-    #[test]
-    fn ttl_expires_entries() {
-        let g = tiny_graph();
-        let cache = QueryCache::new(CacheConfig {
-            ttl: Some(Duration::from_millis(0)),
-            ..CacheConfig::default()
-        });
-        let q = "MATCH (a:AS) RETURN count(a)";
-        cache.get_or_execute(&g, q, &Params::new()).unwrap();
-        std::thread::sleep(Duration::from_millis(2));
-        cache.get_or_execute(&g, q, &Params::new()).unwrap();
-        let s = cache.stats();
-        assert_eq!(s.expirations, 1);
-        assert_eq!(s.hits, 0);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! ingest's delta instead of re-embedding the whole corpus.
 
 use crate::response::ContextChunk;
-use crate::retriever::retrieve_chunks;
 use iyp_data::DocDelta;
 use iyp_embed::DocStore;
 use iyp_graphdb::{Graph, GraphSnapshot};
@@ -131,9 +130,20 @@ impl RetrievalIndex {
         &self.catalog
     }
 
-    /// Top-`k` semantic context chunks for a question.
+    /// Top-`k` semantic context chunks for a question — the paper's
+    /// VectorContextRetriever stage. Returns at most the number of live
+    /// documents (a `k` past the corpus is not an error), ordered by
+    /// descending score with ties broken by ascending doc id.
     pub fn retrieve(&self, question: &str, k: usize) -> Vec<ContextChunk> {
-        retrieve_chunks(&self.docs, question, k)
+        self.docs
+            .search(question, k)
+            .into_iter()
+            .map(|hit| ContextChunk {
+                title: hit.doc.title.clone(),
+                text: hit.doc.text.clone(),
+                score: f64::from(hit.score),
+            })
+            .collect()
     }
 }
 
@@ -183,6 +193,48 @@ mod tests {
         let rebuilt_hits = rebuilt.retrieve(&q, 3);
         let titles = |hs: &[ContextChunk]| hs.iter().map(|h| h.title.clone()).collect::<Vec<_>>();
         assert_eq!(titles(&hits), titles(&rebuilt_hits));
+    }
+
+    #[test]
+    fn retrieve_finds_entity_docs() {
+        let d = generate(&IypConfig::tiny());
+        let index = RetrievalIndex::from_snapshot(&GraphSnapshot::new(d.graph, 1));
+        assert!(!index.docs().is_empty());
+        let hits = index.retrieve("tell me about AS2497 IIJ in Japan", 3);
+        assert_eq!(hits.len(), 3);
+        assert!(
+            hits.iter().any(|h| h.title.contains("2497")),
+            "hits: {:?}",
+            hits.iter().map(|h| &h.title).collect::<Vec<_>>()
+        );
+    }
+
+    /// Over tied scores (ordered by ascending doc id inside `DocStore`,
+    /// pinned there) the whole result repeats call-to-call — the
+    /// determinism the rest of the pipeline relies on.
+    #[test]
+    fn retrieve_over_tied_scores_repeats_call_to_call() {
+        // Identical title+text embed to identical vectors: guaranteed
+        // ties, distinguishable only by tag.
+        let mut docs = DocStore::new();
+        for tag in 0..4u64 {
+            docs.add("same title", "identical text body", tag);
+        }
+        let index = RetrievalIndex {
+            docs,
+            catalog: EntityCatalog::default(),
+            version: 1,
+            epoch: 1,
+        };
+        let hits = index.retrieve("identical text body", 4);
+        assert_eq!(hits.len(), 4);
+        assert!(hits.windows(2).all(|w| w[0].score >= w[1].score));
+        let key = |hs: &[ContextChunk]| {
+            hs.iter()
+                .map(|h| (h.title.clone(), h.score))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(key(&hits), key(&index.retrieve("identical text body", 4)));
     }
 
     #[test]

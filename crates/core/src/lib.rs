@@ -8,8 +8,8 @@
 //! 1. **User query** — a natural-language question.
 //! 2. **Retrieval** — [`retriever::TextToCypherRetriever`] maps the
 //!    question to Cypher (via the simulated LLM prompt chain) and runs it;
-//!    when it fails or returns nothing,
-//!    [`retriever::VectorContextRetriever`] fetches node-description
+//!    when it fails or returns nothing, [`RetrievalIndex::retrieve`]
+//!    (the paper's VectorContextRetriever) fetches node-description
 //!    context by dense similarity, reranked by the LLMReranker.
 //! 3. **Generation** — the answer is generated from the retrieved rows or
 //!    context, returned together with the Cypher query for transparency.
@@ -53,4 +53,4 @@ pub use resilience::{
     ResilienceCounters, ResilienceStats, RetryPolicy,
 };
 pub use response::{ChatResponse, ContextChunk, Route, Timings};
-pub use retriever::{StructuredRetrieval, TextToCypherRetriever, VectorContextRetriever};
+pub use retriever::{StructuredRetrieval, TextToCypherRetriever};

@@ -76,7 +76,7 @@ pub struct IngestReport {
 /// `&self`, so one instance answers concurrent [`ChatIyp::ask`] calls
 /// from many threads.
 pub struct ChatIyp {
-    store: Arc<GraphStore>,
+    store: GraphStore,
     /// The published retrieval index. Readers clone the `Arc` under the
     /// read lock *and load the graph snapshot inside the same critical
     /// section* ([`ChatIyp::resolve`]); the ingest path publishes the
@@ -166,7 +166,7 @@ impl ChatIyp {
     /// Builds the pipeline over a generated dataset.
     pub fn new(dataset: IypDataset, config: ChatIypConfig) -> Self {
         let catalog = EntityCatalog::from_dataset(&dataset);
-        let store = Arc::new(GraphStore::new(dataset.graph));
+        let store = GraphStore::new(dataset.graph);
         let seed = store.load();
         let index = RetrievalIndex::from_graph_at(seed.graph(), seed.version(), seed.epoch())
             .with_catalog(catalog);
@@ -175,13 +175,15 @@ impl ChatIyp {
 
     /// Assembles the pipeline around an already-built store and index.
     fn assemble(
-        store: Arc<GraphStore>,
+        store: GraphStore,
         index: RetrievalIndex,
         config: ChatIypConfig,
         durability: Option<Durability>,
     ) -> Self {
         let lm = SimLm::new(config.lm.clone());
-        let translator = Translator::new(lm.clone(), index.catalog().clone());
+        // Every request passes the catalog of its resolved pair, so the
+        // translator's own (construction-time) catalog is never read.
+        let translator = Translator::new(lm.clone(), EntityCatalog::default());
         let registry = Arc::new(Registry::new());
         let mut cache = QueryCache::new(config.cache.clone());
         cache.attach_registry(&registry);
@@ -227,28 +229,27 @@ impl ChatIyp {
 
         // Base world: the checkpoint if one exists, else the generated
         // dataset (which publishes as version 1, same as a fresh serve).
-        let (store, checkpoint_version, catalog) = if checkpoint_path.exists() {
+        let (mut graph, checkpoint_version, catalog) = if checkpoint_path.exists() {
             let snap = snapshot::load_snapshot(&checkpoint_path)?;
             let version = snap.version();
-            (GraphStore::from_snapshot(snap), Some(version), None)
+            (snap.into_graph(), Some(version), None)
         } else {
             let dataset = base();
             let catalog = EntityCatalog::from_dataset(&dataset);
-            (GraphStore::new(dataset.graph), None, Some(catalog))
+            (dataset.graph, None, Some(catalog))
         };
         let load = t0.elapsed();
 
         // Replay the WAL tail: records at or below the base version are
         // already inside it; everything above must form a gapless
-        // continuation. All surviving records apply to ONE working copy
-        // of the base graph and land in ONE publish — replay cost is
-        // O(total delta), not O(records) page-table clones, which is
-        // half of why recovery beats re-ingesting batch by batch.
+        // continuation. All surviving records apply to the ONE base graph
+        // and land in ONE publish — replay cost is O(total delta), not
+        // O(records) page-table clones, which is half of why recovery
+        // beats re-ingesting batch by batch.
         let t1 = Instant::now();
         let mut replayed = 0u64;
-        let base_snap = store.load();
-        let mut graph = base_snap.graph().clone();
-        let mut version = base_snap.version();
+        let base_version = checkpoint_version.unwrap_or(1);
+        let mut version = base_version;
         for record in &opened.records {
             if record.version <= version {
                 continue;
@@ -269,11 +270,7 @@ impl ChatIyp {
             version += 1;
             replayed += 1;
         }
-        let store = if replayed > 0 {
-            GraphStore::from_snapshot(GraphSnapshot::new(graph, version))
-        } else {
-            store
-        };
+        let store = GraphStore::from_snapshot(GraphSnapshot::new(graph, version));
         let replay = t1.elapsed();
 
         // One index build over the final graph — this is what makes
@@ -295,7 +292,7 @@ impl ChatIyp {
 
         let report = RecoveryReport {
             checkpoint_version,
-            base_version: checkpoint_version.unwrap_or(1),
+            base_version,
             replayed,
             torn_tail_bytes: opened
                 .torn_tail
@@ -307,7 +304,7 @@ impl ChatIyp {
             index_build,
         };
         let durability = Durability::new(opened.wal, checkpoint_path, checkpoint_version, replayed);
-        let chat = Self::assemble(Arc::new(store), index, config, Some(durability));
+        let chat = Self::assemble(store, index, config, Some(durability));
         chat.registry
             .observe(STAGE_METRIC, &[("stage", "recovery")], t0.elapsed());
         Ok((chat, report))
@@ -348,11 +345,6 @@ impl ChatIyp {
     /// pipeline runs without a data directory.
     pub fn durability_stats(&self) -> Option<DurabilityStats> {
         self.durability.as_ref().map(Durability::stats)
-    }
-
-    /// The versioned store the pipeline reads through.
-    pub fn store(&self) -> &Arc<GraphStore> {
-        &self.store
     }
 
     /// Resolves the current graph snapshot. Callers should resolve once
@@ -603,7 +595,7 @@ impl ChatIyp {
         let snap = &handle.snapshot;
         let structured: Option<StructuredRetrieval> = if self.config.enable_text2cypher {
             let _s = trace.span("text2cypher");
-            Some(self.text2cypher.retrieve_resilient(
+            Some(self.text2cypher.retrieve(
                 snap,
                 question,
                 self.config.max_retries,

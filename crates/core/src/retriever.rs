@@ -1,12 +1,11 @@
-//! The two retrieval stages: TextToCypherRetriever (symbolic) and
-//! VectorContextRetriever (semantic).
+//! The symbolic retrieval stage: TextToCypherRetriever. The semantic
+//! stage (the paper's VectorContextRetriever) is
+//! [`crate::index::RetrievalIndex::retrieve`].
 
 use crate::cache::QueryCache;
 use crate::resilience::{DegradedReason, FaultPoint, ResilienceCtx, TRANSLATE_BUDGET_SHARE};
-use crate::response::ContextChunk;
 use iyp_cypher::QueryResult;
-use iyp_embed::DocStore;
-use iyp_graphdb::{Graph, GraphSnapshot};
+use iyp_graphdb::GraphSnapshot;
 use iyp_llm::{EntityCatalog, Translation, Translator};
 
 /// The outcome of the structured retrieval stage.
@@ -45,85 +44,22 @@ impl TextToCypherRetriever {
         TextToCypherRetriever { translator }
     }
 
-    /// Translates and executes against one snapshot.
-    pub fn retrieve(&self, snap: &GraphSnapshot, question: &str) -> StructuredRetrieval {
-        self.retrieve_with_retries(snap, question, 0)
-    }
-
-    /// Translates and executes with up to `max_retries` self-correction
-    /// re-prompts: a failed or empty execution triggers a fresh
-    /// translation attempt, and the first attempt producing rows wins.
-    /// The last attempt is returned when none succeed.
-    pub fn retrieve_with_retries(
-        &self,
-        snap: &GraphSnapshot,
-        question: &str,
-        max_retries: u32,
-    ) -> StructuredRetrieval {
-        self.retrieve_cached(snap, question, max_retries, None)
-    }
-
-    /// [`TextToCypherRetriever::retrieve_with_retries`], executing
-    /// generated queries through the shared query cache when one is
-    /// given: repeated questions (and distinct questions refined to the
-    /// same Cypher) skip parse and execution entirely.
-    pub fn retrieve_cached(
-        &self,
-        snap: &GraphSnapshot,
-        question: &str,
-        max_retries: u32,
-        cache: Option<&QueryCache>,
-    ) -> StructuredRetrieval {
-        self.retrieve_cached_with_limits(
-            snap,
-            question,
-            max_retries,
-            cache,
-            iyp_cypher::ExecLimits::none(),
-        )
-    }
-
-    /// [`TextToCypherRetriever::retrieve_cached`] with explicit execution
-    /// limits for cold queries — how the pipeline applies its configured
-    /// deadline-free morsel parallelism.
-    pub fn retrieve_cached_with_limits(
-        &self,
-        snap: &GraphSnapshot,
-        question: &str,
-        max_retries: u32,
-        cache: Option<&QueryCache>,
-        limits: iyp_cypher::ExecLimits,
-    ) -> StructuredRetrieval {
-        self.retrieve_cached_with_limits_using(
-            snap,
-            question,
-            max_retries,
-            cache,
-            limits,
-            &self.translator.catalog,
-        )
-    }
-
-    /// [`TextToCypherRetriever::retrieve_cached_with_limits`], resolving
-    /// entity mentions against an explicit catalog instead of the
-    /// translator's construction-time one — the entry point for the
-    /// pipeline, whose catalog is versioned with the graph and must come
-    /// from the same resolved `(snapshot, index)` pair as `snap`.
-    pub fn retrieve_cached_with_limits_using(
-        &self,
-        snap: &GraphSnapshot,
-        question: &str,
-        max_retries: u32,
-        cache: Option<&QueryCache>,
-        limits: iyp_cypher::ExecLimits,
-        catalog: &EntityCatalog,
-    ) -> StructuredRetrieval {
-        self.retrieve_resilient(snap, question, max_retries, cache, limits, catalog, None)
-    }
-
-    /// [`TextToCypherRetriever::retrieve_cached_with_limits_using`] with
-    /// an optional resilience context — the pipeline's entry point when
-    /// the resilience layer is on.
+    /// Translates `question` against `catalog` and executes the query
+    /// against `snap` — the one entry point.
+    ///
+    /// * `max_retries` self-correction re-prompts: a failed or empty
+    ///   execution triggers a fresh translation attempt, the first
+    ///   attempt producing rows wins, and the last attempt is returned
+    ///   when none succeed.
+    /// * `cache`, when given, executes generated queries through the
+    ///   shared query cache: repeated questions (and distinct questions
+    ///   refined to the same Cypher) skip parse and execution entirely.
+    /// * `limits` apply to cold executions — how the pipeline applies its
+    ///   configured deadline-free morsel parallelism.
+    /// * `catalog` resolves entity mentions. The pipeline's catalog is
+    ///   versioned with the graph and must come from the same resolved
+    ///   `(snapshot, index)` pair as `snap`.
+    /// * `ctx` is the resilience context when the resilience layer is on.
     ///
     /// With a context, every translation call passes the
     /// [`FaultPoint::LlmTranslate`] check and every execution the
@@ -137,7 +73,7 @@ impl TextToCypherRetriever {
     /// [`DegradedReason::BudgetExhausted`]) so the pipeline can fall
     /// through to semantic retrieval instead of aborting.
     #[allow(clippy::too_many_arguments)]
-    pub fn retrieve_resilient(
+    pub fn retrieve(
         &self,
         snap: &GraphSnapshot,
         question: &str,
@@ -258,83 +194,44 @@ impl TextToCypherRetriever {
     }
 }
 
-/// Maps top-`k` document hits for `question` into context chunks.
-///
-/// Shared by [`VectorContextRetriever`] and the versioned
-/// [`crate::index::RetrievalIndex`] so both produce identical chunks
-/// (hit count capped at the live corpus size; ties broken by ascending
-/// doc id, making the ordering fully deterministic).
-pub(crate) fn retrieve_chunks(store: &DocStore, question: &str, k: usize) -> Vec<ContextChunk> {
-    store
-        .search(question, k)
-        .into_iter()
-        .map(|hit| ContextChunk {
-            title: hit.doc.title.clone(),
-            text: hit.doc.text.clone(),
-            score: f64::from(hit.score),
-        })
-        .collect()
-}
-
-/// VectorContextRetriever: dense retrieval over node descriptions,
-/// used when structured retrieval fails or returns nothing.
-pub struct VectorContextRetriever {
-    store: DocStore,
-}
-
-impl VectorContextRetriever {
-    /// Builds the retriever from a pre-populated document store.
-    pub fn new(store: DocStore) -> Self {
-        VectorContextRetriever { store }
-    }
-
-    /// Builds the store from a graph's node descriptions.
-    pub fn from_graph(graph: &Graph) -> Self {
-        let mut store = DocStore::new();
-        for doc in iyp_data::describe_all(graph) {
-            store.add(doc.title, doc.text, doc.node.0);
-        }
-        VectorContextRetriever { store }
-    }
-
-    /// Top-`k` context chunks for a question. Returns at most the number
-    /// of live documents (a `k` past the corpus is not an error), ordered
-    /// by descending score with ties broken by ascending doc id.
-    pub fn retrieve(&self, question: &str, k: usize) -> Vec<ContextChunk> {
-        retrieve_chunks(&self.store, question, k)
-    }
-
-    /// Number of indexed documents.
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// True when no documents are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use iyp_data::{generate, IypConfig};
     use iyp_llm::{EntityCatalog, LmConfig, SimLm};
 
+    /// One uncached, unlimited, retry-free retrieval against `catalog`.
+    fn retrieve_once(
+        lm: SimLm,
+        snap: &GraphSnapshot,
+        question: &str,
+        catalog: &EntityCatalog,
+    ) -> StructuredRetrieval {
+        TextToCypherRetriever::new(Translator::new(lm, EntityCatalog::default())).retrieve(
+            snap,
+            question,
+            0,
+            None,
+            iyp_cypher::ExecLimits::none(),
+            catalog,
+            None,
+        )
+    }
+
+    fn perfect_lm() -> SimLm {
+        SimLm::new(LmConfig {
+            seed: 1,
+            skill: 1.0,
+            variety: 0.0,
+        })
+    }
+
     #[test]
     fn structured_retrieval_runs_gold_path() {
         let d = generate(&IypConfig::tiny());
         let cat = EntityCatalog::from_dataset(&d);
-        let t = Translator::new(
-            SimLm::new(LmConfig {
-                seed: 1,
-                skill: 1.0,
-                variety: 0.0,
-            }),
-            cat,
-        );
         let snap = GraphSnapshot::new(d.graph, 1);
-        let r = TextToCypherRetriever::new(t).retrieve(&snap, "What is the name of AS2497?");
+        let r = retrieve_once(perfect_lm(), &snap, "What is the name of AS2497?", &cat);
         assert!(r.has_rows());
         assert_eq!(r.result.unwrap().rows[0][0].to_string(), "IIJ");
     }
@@ -343,116 +240,26 @@ mod tests {
     fn structured_retrieval_reports_no_query() {
         let d = generate(&IypConfig::tiny());
         let cat = EntityCatalog::from_dataset(&d);
-        let t = Translator::new(SimLm::with_seed(1), cat);
         let snap = GraphSnapshot::new(d.graph, 1);
-        let r = TextToCypherRetriever::new(t).retrieve(&snap, "how is the weather?");
+        let r = retrieve_once(SimLm::with_seed(1), &snap, "how is the weather?", &cat);
         assert!(!r.has_rows());
         assert!(r.translation.cypher.is_none());
     }
 
-    #[test]
-    fn vector_retriever_finds_entity_docs() {
-        let d = generate(&IypConfig::tiny());
-        let v = VectorContextRetriever::from_graph(&d.graph);
-        assert!(!v.is_empty());
-        let hits = v.retrieve("tell me about AS2497 IIJ in Japan", 3);
-        assert_eq!(hits.len(), 3);
-        assert!(
-            hits.iter().any(|h| h.title.contains("2497")),
-            "hits: {:?}",
-            hits.iter().map(|h| &h.title).collect::<Vec<_>>()
-        );
-    }
-
-    /// `k` past the corpus size returns exactly the corpus, once each —
-    /// not an error, not duplicates, not fewer than available.
-    #[test]
-    fn vector_retrieve_with_oversized_k_returns_every_doc_once() {
-        let mut store = DocStore::new();
-        store.add("AS2497 IIJ", "an autonomous system in Japan", 1);
-        store.add("AS15169 Google", "a cloud network", 2);
-        store.add("JPIX", "an exchange point in Tokyo", 3);
-        let v = VectorContextRetriever::new(store);
-        let hits = v.retrieve("networks", 50);
-        assert_eq!(hits.len(), 3, "k=50 over 3 docs must return all 3");
-        let mut titles: Vec<&str> = hits.iter().map(|h| h.title.as_str()).collect();
-        titles.sort_unstable();
-        titles.dedup();
-        assert_eq!(titles.len(), 3, "duplicate hits: {hits:?}");
-    }
-
-    /// Searching an empty store yields an empty result, for any `k`.
-    #[test]
-    fn vector_retrieve_over_empty_store_is_empty() {
-        let v = VectorContextRetriever::new(DocStore::new());
-        assert!(v.is_empty());
-        assert_eq!(v.len(), 0);
-        assert!(v.retrieve("anything at all", 0).is_empty());
-        assert!(v.retrieve("anything at all", 1).is_empty());
-        assert!(v.retrieve("anything at all", 10_000).is_empty());
-    }
-
-    /// Tied scores order by ascending doc id (insertion order), pinning
-    /// the determinism the rest of the pipeline relies on.
-    #[test]
-    fn vector_retrieve_breaks_ties_by_insertion_order() {
-        // Identical title+text embed to identical vectors: guaranteed
-        // ties, distinguishable only by tag.
-        let mut store = DocStore::new();
-        for tag in 0..4u64 {
-            store.add("same title", "identical text body", tag);
-        }
-        let tags: Vec<u64> = store
-            .search("identical text body", 4)
-            .iter()
-            .map(|h| h.doc.tag)
-            .collect();
-        assert_eq!(tags, vec![0, 1, 2, 3], "ties must order by doc id");
-
-        let v = VectorContextRetriever::new(store);
-        let hits = v.retrieve("identical text body", 4);
-        assert_eq!(hits.len(), 4);
-        assert!(hits.windows(2).all(|w| w[0].score >= w[1].score));
-        // And the whole result is reproducible call-to-call.
-        let again = v.retrieve("identical text body", 4);
-        assert_eq!(
-            hits.iter().map(|h| (&h.title, h.score)).collect::<Vec<_>>(),
-            again
-                .iter()
-                .map(|h| (&h.title, h.score))
-                .collect::<Vec<_>>()
-        );
-    }
-
-    /// The explicit-catalog entry point resolves against the caller's
-    /// catalog, not the translator's construction-time one.
+    /// Mentions resolve against the catalog the caller passes — the one
+    /// paired with the snapshot — so a name only a newer catalog knows
+    /// translates with that catalog and not with an older one.
     #[test]
     fn structured_retrieval_uses_the_explicit_catalog() {
         let d = generate(&IypConfig::tiny());
         let stale = EntityCatalog::from_dataset(&d);
         let mut fresh = stale.clone();
         fresh.as_names.insert("newnet".into(), 2497);
-        let t = Translator::new(
-            SimLm::new(LmConfig {
-                seed: 1,
-                skill: 1.0,
-                variety: 0.0,
-            }),
-            stale,
-        );
         let snap = GraphSnapshot::new(d.graph, 1);
-        let retriever = TextToCypherRetriever::new(t);
         let q = "What is the ASN of NewNet?";
-        let with_stale = retriever.retrieve(&snap, q);
+        let with_stale = retrieve_once(perfect_lm(), &snap, q, &stale);
         assert!(with_stale.translation.cypher.is_none());
-        let with_fresh = retriever.retrieve_cached_with_limits_using(
-            &snap,
-            q,
-            0,
-            None,
-            iyp_cypher::ExecLimits::none(),
-            &fresh,
-        );
+        let with_fresh = retrieve_once(perfect_lm(), &snap, q, &fresh);
         assert!(
             with_fresh.translation.cypher.is_some(),
             "fresh catalog not consulted"

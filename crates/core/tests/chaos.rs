@@ -334,14 +334,14 @@ fn wal_outage_window_fails_ingest_cleanly_and_recovery_sees_only_acks() {
             other => panic!("attempt {attempt}: expected a WAL fault, got {other:?}"),
         }
         assert_eq!(
-            chat.store().load().version(),
+            chat.snapshot().version(),
             1,
             "a failed WAL append must publish nothing"
         );
     }
     // Window closed: the identical batch now lands.
     chat.ingest(&batch).expect("ingest after the outage");
-    assert_eq!(chat.store().load().version(), 2);
+    assert_eq!(chat.snapshot().version(), 2);
     let stats = chat.durability_stats().expect("durable pipeline has stats");
     assert!(stats.wal_bytes > 0, "the acknowledged ingest is on disk");
     drop(chat);
@@ -350,5 +350,5 @@ fn wal_outage_window_fails_ingest_cleanly_and_recovery_sees_only_acks() {
     // faulted attempts left no trace.
     let (recovered, report) = open().expect("recover after the outage");
     assert_eq!(report.replayed, 1);
-    assert_eq!(recovered.store().load().version(), 2);
+    assert_eq!(recovered.snapshot().version(), 2);
 }

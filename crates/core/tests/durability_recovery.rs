@@ -69,7 +69,7 @@ fn corpus_bytes(chat: &ChatIyp) -> Vec<String> {
 }
 
 fn version(chat: &ChatIyp) -> u64 {
-    chat.store().load().version()
+    chat.snapshot().version()
 }
 
 /// The WAL segment files in `dir`, sorted by name (= by first version).

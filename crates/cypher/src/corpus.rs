@@ -9,8 +9,8 @@
 //!   (`tests/goldens/parity_corpus.json`);
 //! * `chatiyp-core`'s cache tests prove cached results are byte-identical
 //!   to uncached execution across the whole corpus;
-//! * the `cache_hit_rate` bench binary replays the corpus to measure the
-//!   cache-hit path against cold execution.
+//! * the load benchmark (`benchmark/`) replays the corpus as its
+//!   `cypher_hot` workload and checks every body against an oracle.
 //!
 //! Changing, reordering, or extending this list requires re-recording the
 //! goldens (see the ignored `regenerate_goldens` test).

@@ -244,8 +244,43 @@ mod tests {
     #[test]
     fn empty_store() {
         let store = DocStore::new();
-        assert!(store.search("anything", 3).is_empty());
+        for k in [0, 1, 3, 10_000] {
+            assert!(store.search("anything", k).is_empty());
+        }
         assert!(store.is_empty());
+        assert_eq!(store.len(), 0);
+    }
+
+    /// `k` past the corpus size returns exactly the corpus, once each —
+    /// not an error, not duplicates, not fewer than available.
+    #[test]
+    fn search_with_oversized_k_returns_every_doc_once() {
+        let mut store = DocStore::new();
+        store.add("AS2497 IIJ", "an autonomous system in Japan", 1);
+        store.add("AS15169 Google", "a cloud network", 2);
+        store.add("JPIX", "an exchange point in Tokyo", 3);
+        let mut tags: Vec<u64> = store
+            .search("networks", 50)
+            .iter()
+            .map(|h| h.doc.tag)
+            .collect();
+        tags.sort_unstable();
+        assert_eq!(tags, vec![1, 2, 3], "k=50 over 3 docs returns each once");
+    }
+
+    /// Tied scores order by ascending doc id (insertion order).
+    #[test]
+    fn search_breaks_ties_by_insertion_order() {
+        let mut store = DocStore::new();
+        for tag in 0..4u64 {
+            store.add("same title", "identical text body", tag);
+        }
+        let tags: Vec<u64> = store
+            .search("identical text body", 4)
+            .iter()
+            .map(|h| h.doc.tag)
+            .collect();
+        assert_eq!(tags, vec![0, 1, 2, 3], "ties must order by doc id");
     }
 
     #[test]

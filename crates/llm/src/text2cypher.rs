@@ -159,20 +159,15 @@ impl Translator {
     /// Translates a question into Cypher, possibly with an injected
     /// structural error.
     pub fn translate(&self, question: &str) -> Translation {
-        self.translate_attempt(question, 0)
+        self.translate_attempt_with(question, 0, &self.catalog)
     }
 
-    /// Translation with an attempt counter: re-prompting an LLM after a
-    /// failure redraws its mistakes, so each attempt gets an independent
-    /// error draw. Attempt 0 is the plain [`Translator::translate`].
-    pub fn translate_attempt(&self, question: &str, attempt: u32) -> Translation {
-        self.translate_attempt_with(question, attempt, &self.catalog)
-    }
-
-    /// Like [`Translator::translate_attempt`], but resolving mentions
-    /// against an explicit catalog instead of the construction-time one —
-    /// the entry point for pipelines whose catalog is versioned alongside
-    /// the graph and swapped on ingest.
+    /// Translation with an attempt counter, resolving mentions against
+    /// an explicit catalog: re-prompting an LLM after a failure redraws
+    /// its mistakes, so each attempt gets an independent error draw
+    /// (attempt 0 is the plain [`Translator::translate`]), and a pipeline
+    /// whose catalog is versioned alongside the graph passes the one
+    /// paired with the snapshot it executes against.
     pub fn translate_attempt_with(
         &self,
         question: &str,

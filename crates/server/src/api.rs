@@ -3,9 +3,9 @@
 //! Endpoints:
 //! * `POST /ask` — `{"question": "..."}` → full pipeline response;
 //!   `?trace=1` adds the request's span tree to the response
-//! * `GET  /health` — liveness + graph size
-//! * `GET  /healthz` — readiness: 200 once a snapshot is published,
-//!   503 + `Retry-After` while the initial dataset is still loading
+//! * `GET  /healthz` — readiness + graph size: 200 once a snapshot is
+//!   published, 503 + `Retry-After` while the initial dataset is still
+//!   loading
 //! * `GET  /schema` — the IYP schema summary
 //! * `POST /cypher` — `{"query": "..."}` → direct read-only Cypher
 //!   (the expert escape hatch); `PROFILE`/`EXPLAIN` query prefixes
@@ -26,11 +26,15 @@
 //!   histograms, cache counters, graph + index gauges, WAL/recovery
 //!   series when durability is configured)
 //!
-//! Every request resolves the pipeline's current
-//! `(GraphSnapshot, RetrievalIndex)` pair **once** in [`handle`] (via
-//! [`ChatIyp::resolve`]) and serves entirely from it, so a concurrent
-//! ingest can never tear a response — the graph version and the
-//! retrieval-index version a request reports always match.
+//! [`handle`] resolves the pipeline's current
+//! `(GraphSnapshot, RetrievalIndex)` pair (via [`ChatIyp::resolve`]) and
+//! the graph-reading endpoints (`/cypher`, `/healthz`, `/stats`,
+//! `/metrics`) serve entirely from it. `/ask` is the exception: the
+//! pipeline resolves a pair of its own when the question starts and
+//! answers from that one. Either way a response reads exactly one
+//! published pair, so a concurrent ingest can never tear it — the graph
+//! version and the retrieval-index version a request reports always
+//! match.
 
 use crate::http::{Request, Response};
 use chatiyp_core::{ChatIyp, CypherExecError, IngestError, RetrievalHandle};
@@ -174,9 +178,9 @@ fn not_ready() -> Response {
 }
 
 /// Dispatches one request. Graph-reading endpoints (`/cypher`,
-/// `/health`, `/stats`) serve from the request's resolved handle — the
-/// same immutable graph + retrieval index the pipeline queries — so
-/// they never see a half-applied ingest or a torn pair.
+/// `/healthz`, `/stats`, `/metrics`) serve from the request's resolved
+/// handle — one immutable graph + retrieval index pair — so they never
+/// see a half-applied ingest or a torn pair.
 fn dispatch(state: &AppState, chat: &ChatIyp, handle: &RetrievalHandle, req: &Request) -> Response {
     let snap = &handle.snapshot;
     match (req.method.as_str(), req.path()) {
@@ -184,14 +188,13 @@ fn dispatch(state: &AppState, chat: &ChatIyp, handle: &RetrievalHandle, req: &Re
         ("POST", "/cypher") => handle_cypher(chat, snap, req),
         ("POST", "/admin/ingest") => handle_ingest(chat, req),
         ("POST", "/admin/checkpoint") => handle_checkpoint(chat),
-        ("GET", "/health") => handle_health(snap),
         ("GET", "/healthz") => handle_healthz(snap),
         ("GET", "/stats") => handle_stats(state, chat, handle),
         ("GET", "/metrics") => handle_metrics(state, chat, handle),
         ("GET", "/schema") => Response::text(200, iyp_data::schema::schema_summary()),
         ("GET", _) | ("POST", _) => Response::json(
             404,
-            json!({"error": "unknown endpoint", "endpoints": ["/admin/checkpoint", "/admin/ingest", "/ask", "/cypher", "/health", "/healthz", "/metrics", "/schema", "/stats"]})
+            json!({"error": "unknown endpoint", "endpoints": ["/admin/checkpoint", "/admin/ingest", "/ask", "/cypher", "/healthz", "/metrics", "/schema", "/stats"]})
                 .to_string(),
         ),
         (method, _) => Response::json(
@@ -210,7 +213,6 @@ fn metric_path(path: &str) -> &'static str {
         "/admin/ingest" => "/admin/ingest",
         "/ask" => "/ask",
         "/cypher" => "/cypher",
-        "/health" => "/health",
         "/healthz" => "/healthz",
         "/metrics" => "/metrics",
         "/schema" => "/schema",
@@ -490,7 +492,6 @@ fn handle_metrics(state: &AppState, chat: &ChatIyp, handle: &RetrievalHandle) ->
         ("misses", cs.misses),
         ("evictions", cs.evictions),
         ("invalidations", cs.invalidations),
-        ("expirations", cs.expirations),
     ] {
         writeln!(out, "chatiyp_cache_events_total{{kind=\"{kind}\"}} {v}").expect("write");
     }
@@ -542,7 +543,7 @@ fn handle_metrics(state: &AppState, chat: &ChatIyp, handle: &RetrievalHandle) ->
         ),
         (
             "chatiyp_index_version",
-            "Retrieval-index version paired with the snapshot (equal to chatiyp_graph_version unless a pair is mid-publish).",
+            "Retrieval-index version paired with the snapshot (always equal to chatiyp_graph_version: both are read from one resolved pair).",
             handle.index.version(),
         ),
         (
@@ -666,25 +667,20 @@ fn handle_stats(state: &AppState, chat: &ChatIyp, handle: &RetrievalHandle) -> R
     Response::json(200, body.to_string())
 }
 
-fn handle_health(snap: &GraphSnapshot) -> Response {
+/// Readiness. Reaching this handler means a snapshot is published (the
+/// deferred path answers 503 in [`handle`] before dispatch), so it
+/// reports ready plus the live version and graph size for probes that
+/// log them.
+fn handle_healthz(snap: &GraphSnapshot) -> Response {
     Response::json(
         200,
         json!({
-            "status": "ok",
+            "status": "ready",
+            "graph_version": snap.version(),
             "nodes": snap.node_count(),
             "relationships": snap.rel_count(),
         })
         .to_string(),
-    )
-}
-
-/// Readiness. Reaching this handler means a snapshot is published (the
-/// deferred path answers 503 in [`handle`] before dispatch), so it
-/// reports ready plus the live version for probes that log it.
-fn handle_healthz(snap: &GraphSnapshot) -> Response {
-    Response::json(
-        200,
-        json!({"status": "ready", "graph_version": snap.version()}).to_string(),
     )
 }
 
@@ -891,10 +887,10 @@ mod tests {
     #[test]
     fn health_and_schema() {
         let c = chat();
-        let r = handle(&c, &req("GET", "/health", ""));
+        let r = handle(&c, &req("GET", "/healthz", ""));
         assert_eq!(r.status, 200);
         let body: serde_json::Value = serde_json::from_slice(&r.body).unwrap();
-        assert_eq!(body["status"], "ok");
+        assert_eq!(body["status"], "ready");
         assert!(body["nodes"].as_u64().unwrap() > 0);
 
         let r = handle(&c, &req("GET", "/schema", ""));
@@ -1203,7 +1199,6 @@ mod tests {
             [
                 "capacity",
                 "evictions",
-                "expirations",
                 "hits",
                 "invalidations",
                 "len",
@@ -1569,15 +1564,32 @@ mod tests {
         assert_eq!(body["graph_version"].as_u64(), Some(1));
     }
 
+    /// `/healthz` is the one health endpoint: it carries the graph size
+    /// the old `/health` reported, and `/health` itself is gone.
+    #[test]
+    fn healthz_body_is_pinned_and_health_is_gone() {
+        let c = chat();
+        let r = handle(&c, &req("GET", "/healthz", ""));
+        let body: serde_json::Value = serde_json::from_slice(&r.body).unwrap();
+        let serde_json::Value::Map(entries) = &body else {
+            panic!("healthz body is not an object")
+        };
+        let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["status", "graph_version", "nodes", "relationships"]);
+        let snap = c.chat().unwrap().snapshot();
+        assert_eq!(body["nodes"].as_u64(), Some(snap.node_count() as u64));
+        assert_eq!(
+            body["relationships"].as_u64(),
+            Some(snap.rel_count() as u64)
+        );
+
+        assert_eq!(handle(&c, &req("GET", "/health", "")).status, 404);
+    }
+
     #[test]
     fn deferred_state_serves_503_until_published() {
         let state = AppState::deferred();
-        for (method, path) in [
-            ("GET", "/healthz"),
-            ("GET", "/health"),
-            ("GET", "/stats"),
-            ("POST", "/ask"),
-        ] {
+        for (method, path) in [("GET", "/healthz"), ("GET", "/stats"), ("POST", "/ask")] {
             let r = handle(&state, &req(method, path, "{}"));
             assert_eq!(r.status, 503, "{method} {path}");
             assert!(

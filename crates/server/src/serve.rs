@@ -342,12 +342,14 @@ mod tests {
         let addr = server.addr();
         let handles: Vec<_> = (0..6)
             .map(|_| {
-                std::thread::spawn(move || request(addr, "GET /health HTTP/1.1\r\nHost: t\r\n\r\n"))
+                std::thread::spawn(move || {
+                    request(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                })
             })
             .collect();
         for h in handles {
             let reply = h.join().unwrap();
-            assert!(reply.contains("\"status\":\"ok\""), "reply: {reply}");
+            assert!(reply.contains("\"status\":\"ready\""), "reply: {reply}");
         }
         server.shutdown();
     }
@@ -373,7 +375,7 @@ mod tests {
         for i in 0..3 {
             reader
                 .get_mut()
-                .write_all(b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n")
+                .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
                 .unwrap();
             // Status line.
             let mut line = String::new();
@@ -399,7 +401,7 @@ mod tests {
             assert_eq!(connection, "keep-alive", "req {i}");
             let mut body = vec![0u8; content_length];
             std::io::Read::read_exact(&mut reader, &mut body).unwrap();
-            assert!(String::from_utf8_lossy(&body).contains("\"status\":\"ok\""));
+            assert!(String::from_utf8_lossy(&body).contains("\"status\":\"ready\""));
         }
         server.shutdown();
     }
@@ -416,7 +418,7 @@ mod tests {
         let mut reader = BufReader::new(stream);
         reader
             .get_mut()
-            .write_all(b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n")
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
             .unwrap();
         // Read the one keep-alive response fully.
         let mut line = String::new();
@@ -469,7 +471,7 @@ mod tests {
     fn http10_defaults_to_close() {
         let server = start_test_server();
         let mut s = TcpStream::connect(server.addr()).unwrap();
-        s.write_all(b"GET /health HTTP/1.0\r\n\r\n").unwrap();
+        s.write_all(b"GET /healthz HTTP/1.0\r\n\r\n").unwrap();
         let mut out = String::new();
         s.read_to_string(&mut out).unwrap(); // returns promptly: server closes
         assert!(out.contains("connection: close"), "{out}");
@@ -488,8 +490,8 @@ mod tests {
             drop(s); // disconnect mid-body
         }
         // The pool must still serve real requests afterwards.
-        let reply = request(server.addr(), "GET /health HTTP/1.1\r\nHost: t\r\n\r\n");
-        assert!(reply.contains("\"status\":\"ok\""), "reply: {reply}");
+        let reply = request(server.addr(), "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert!(reply.contains("\"status\":\"ready\""), "reply: {reply}");
         server.shutdown();
     }
 
@@ -551,8 +553,8 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         }
         // And the full API works after readiness.
-        let reply = request(server.addr(), "GET /health HTTP/1.1\r\nHost: t\r\n\r\n");
-        assert!(reply.contains("\"status\":\"ok\""), "reply: {reply}");
+        let reply = request(server.addr(), "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert!(reply.contains("\"status\":\"ready\""), "reply: {reply}");
         server.shutdown();
     }
 
@@ -648,7 +650,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut s = TcpStream::connect(addr).unwrap();
                     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-                    s.write_all(b"GET /health HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+                    s.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
                         .unwrap();
                     let mut out = String::new();
                     let _ = s.read_to_string(&mut out);
@@ -708,7 +710,7 @@ mod tests {
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         queued
-            .write_all(b"GET /health HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
             .unwrap();
 
         // ...long past the 50ms deadline.
@@ -725,8 +727,8 @@ mod tests {
         drop(queued);
 
         // The pool recovers: fresh requests are served normally.
-        let reply = request(addr, "GET /health HTTP/1.1\r\nHost: t\r\n\r\n");
-        assert!(reply.contains("\"status\":\"ok\""), "reply: {reply}");
+        let reply = request(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert!(reply.contains("\"status\":\"ready\""), "reply: {reply}");
         server.shutdown();
     }
 

@@ -75,7 +75,7 @@ fn main() {
             println!("graph loading in the background; poll GET /healthz for readiness");
             println!(
                 "endpoints: POST /ask, POST /cypher, POST /admin/ingest, \
-                 POST /admin/checkpoint, GET /health, GET /healthz, GET /schema, \
+                 POST /admin/checkpoint, GET /healthz, GET /schema, \
                  GET /stats, GET /metrics"
             );
             loop {
