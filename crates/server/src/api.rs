@@ -45,7 +45,7 @@ use serde_json::json;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Shared server state: the pipeline, published once ready.
 ///
@@ -59,6 +59,13 @@ pub struct AppState {
     /// full. Lives here (not in the pipeline's registry) because sheds
     /// can happen before any pipeline is published.
     shed: AtomicU64,
+    /// `accept()` failures that made the acceptor back off (descriptor
+    /// or memory exhaustion); transient ones are retried uncounted.
+    accept_errors: AtomicU64,
+    /// Time each connection spent in the admission queue, from `accept`
+    /// to a worker's dequeue. A registry of its own for the same reason
+    /// `shed` is a field: the pipeline's does not exist while deferred.
+    edge: iyp_obs::Registry,
 }
 
 impl AppState {
@@ -76,6 +83,8 @@ impl AppState {
         AppState {
             chat: OnceLock::new(),
             shed: AtomicU64::new(0),
+            accept_errors: AtomicU64::new(0),
+            edge: iyp_obs::Registry::new(),
         }
     }
 
@@ -99,7 +108,26 @@ impl AppState {
     pub fn shed_count(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
     }
+
+    /// Counts one `accept()` failure the acceptor backed off from.
+    pub fn note_accept_error(&self) {
+        self.accept_errors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// How many `accept()` failures the acceptor has backed off from.
+    pub fn accept_error_count(&self) -> u64 {
+        self.accept_errors.load(Ordering::Relaxed)
+    }
+
+    /// Records how long one connection waited in the admission queue.
+    pub fn note_admission_wait(&self, waited: Duration) {
+        self.edge.observe(ADMISSION_WAIT_METRIC, &[], waited);
+    }
 }
+
+/// Histogram of admission-queue waits, one observation per connection
+/// (`/metrics` only).
+const ADMISSION_WAIT_METRIC: &str = "chatiyp_admission_wait_seconds";
 
 /// Histogram family for HTTP request latencies (`path` label).
 pub const HTTP_METRIC: &str = "chatiyp_http_request_seconds";
@@ -457,6 +485,7 @@ fn profile_json(prof: &iyp_cypher::QueryProfile) -> serde_json::Value {
 fn handle_metrics(state: &AppState, chat: &ChatIyp, handle: &RetrievalHandle) -> Response {
     let snap = &handle.snapshot;
     let mut out = chat.registry().render_prometheus();
+    out.push_str(&state.edge.render_prometheus());
     let cs = chat.query_cache().stats();
     let rc = chat.resilience_stats();
     let mem = snap.graph().memory_stats();
@@ -476,6 +505,11 @@ fn handle_metrics(state: &AppState, chat: &ChatIyp, handle: &RetrievalHandle) ->
             "chatiyp_shed_total",
             "Connections shed with 429 because the admission queue was full.",
             state.shed_count(),
+        ),
+        (
+            "chatiyp_accept_errors_total",
+            "accept() failures the acceptor backed off from (descriptor or memory exhaustion).",
+            state.accept_error_count(),
         ),
     ] {
         writeln!(
@@ -1326,6 +1360,8 @@ mod tests {
         let c = faulty_chat(chatiyp_core::FaultPoint::LlmTranslate);
         c.note_shed();
         c.note_shed();
+        c.note_accept_error();
+        c.note_admission_wait(Duration::from_micros(3));
         let r = handle(
             &c,
             &req(
@@ -1357,6 +1393,17 @@ mod tests {
         assert!(text.contains("# TYPE chatiyp_degraded_total counter"));
         assert!(text.contains("# TYPE chatiyp_shed_total counter"));
         assert!(text.contains("\nchatiyp_shed_total 2"), "{text}");
+        // The edge's own series: `/metrics` only, `/stats` stays pinned.
+        assert!(text.contains("\nchatiyp_accept_errors_total 1"), "{text}");
+        assert!(
+            text.contains("# TYPE chatiyp_admission_wait_seconds histogram"),
+            "{text}"
+        );
+        assert!(
+            text.contains("chatiyp_admission_wait_seconds_bucket{le=\"0.000004\"} 1"),
+            "{text}"
+        );
+        assert!(text.contains("\nchatiyp_admission_wait_seconds_count 1"));
     }
 
     #[test]

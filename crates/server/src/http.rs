@@ -1,9 +1,10 @@
 //! Minimal HTTP/1.1 message framing over blocking sockets.
 //!
 //! Only what the ChatIYP API needs: request-line + headers + fixed
-//! `Content-Length` bodies, one request per connection (`Connection:
-//! close`). Malformed input is answered with a 4xx rather than a panic or
-//! a hang; oversized bodies are rejected early.
+//! `Content-Length` bodies, with HTTP/1.1 keep-alive (up to
+//! [`MAX_REQUESTS_PER_CONN`] requests per connection; pipelined bytes
+//! survive between reads). Malformed input is answered with a 4xx rather
+//! than a panic or a hang; oversized bodies are rejected early.
 
 use bytes::BytesMut;
 use std::fmt;
@@ -289,8 +290,10 @@ impl Response {
             404 => "Not Found",
             405 => "Method Not Allowed",
             413 => "Payload Too Large",
+            429 => "Too Many Requests",
             500 => "Internal Server Error",
             503 => "Service Unavailable",
+            504 => "Gateway Timeout",
             _ => "Unknown",
         };
         let connection = if keep_alive { "keep-alive" } else { "close" };
@@ -519,5 +522,13 @@ mod tests {
         assert!(s.contains("content-length: 11"));
         assert!(s.contains("application/json"));
         assert!(s.ends_with(r#"{"ok":true}"#));
+        // The two statuses the admission path exists to send.
+        for (status, line) in [
+            (429, "HTTP/1.1 429 Too Many Requests\r\n"),
+            (504, "HTTP/1.1 504 Gateway Timeout\r\n"),
+        ] {
+            let bytes = Response::json(status, Vec::new()).to_bytes();
+            assert!(bytes.starts_with(line.as_bytes()), "{status}");
+        }
     }
 }

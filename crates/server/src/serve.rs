@@ -1,11 +1,24 @@
 //! The threaded server: an acceptor feeding a fixed worker pool over a
 //! crossbeam channel, with graceful shutdown.
+//!
+//! The acceptor blocks in `accept()` on a blocking listener, so the
+//! kernel wakes it the instant a handshake completes and an idle server
+//! makes no wake-ups at all. Each accepted connection goes through the
+//! bounded admission queue (`try_send`; full → `429`), and a worker that
+//! dequeues it past the queue deadline answers `504`. A failed `accept`
+//! never ends the loop: see [`is_transient_accept_error`].
+//!
+//! Shutdown sets `stop` and then wakes the acceptor with one throw-away
+//! loopback connection to its own address; the acceptor checks `stop`
+//! every time `accept` returns, drops the sender, and the workers drain
+//! what is queued and exit.
 
 use crate::api::{handle, AppState};
 use crate::http::{HttpError, Response};
 use chatiyp_core::ChatIyp;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -45,6 +58,14 @@ impl Default for ServerConfig {
         }
     }
 }
+
+/// How long the acceptor pauses after an `accept` failure that is not
+/// transient. A blocking `accept` returns at once while the descriptor
+/// table is full, so without the pause the loop would spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// An accepted connection and when it was accepted.
+type Queued = (TcpStream, Instant);
 
 /// A running server; dropping it (or calling [`Server::shutdown`]) stops
 /// the acceptor and drains the workers.
@@ -87,10 +108,8 @@ impl Server {
     fn start_with_state(state: Arc<AppState>, config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
 
-        type Queued = (TcpStream, Instant);
         let (tx, rx): (Sender<Queued>, Receiver<Queued>) = bounded(config.queue_capacity.max(1));
         let mut workers = Vec::with_capacity(config.workers.max(1));
         for i in 0..config.workers.max(1) {
@@ -107,35 +126,9 @@ impl Server {
         }
 
         let stop_accept = Arc::clone(&stop);
-        let shed_state = Arc::clone(&state);
         let acceptor = std::thread::Builder::new()
             .name("chatiyp-acceptor".into())
-            .spawn(move || {
-                while !stop_accept.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            // Bounded admission: a full queue sheds the
-                            // connection with an immediate 429 instead of
-                            // queueing work the pool cannot reach — in-
-                            // flight and already-queued requests keep
-                            // their workers.
-                            match tx.try_send((stream, Instant::now())) {
-                                Ok(()) => {}
-                                Err(TrySendError::Full((stream, _))) => {
-                                    shed_state.note_shed();
-                                    shed(stream);
-                                }
-                                Err(TrySendError::Disconnected(_)) => break,
-                            }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => break,
-                    }
-                }
-                // Dropping tx closes the channel; workers drain and exit.
-            })
+            .spawn(move || accept_loop(listener, tx, &stop_accept, &state))
             .expect("spawn acceptor");
 
         Ok(Server {
@@ -157,10 +150,26 @@ impl Server {
     }
 
     fn stop_threads(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
+        let Some(acceptor) = self.acceptor.take() else {
+            return; // already stopped
+        };
+        self.stop.store(true, Ordering::SeqCst);
+        // The acceptor is blocked in `accept()`: one throw-away
+        // connection to our own address makes it return and see `stop`.
+        // A wildcard bind address is not connectable; its loopback is.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
         }
+        // A failed connect needs no retry: the listener is already gone
+        // (the acceptor left by itself), the backlog is full (`accept`
+        // is returning anyway), or this process is out of descriptors
+        // (`accept` is failing, and the back-off loop sees `stop`).
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_millis(250));
+        let _ = acceptor.join();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -171,6 +180,54 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.stop_threads();
     }
+}
+
+/// Whether a failed `accept` is worth retrying at once. An interrupted
+/// call, or a peer that reset or aborted its handshake before we took it
+/// off the backlog, says nothing about the next connection. Anything
+/// else — in practice descriptor or memory exhaustion (`EMFILE`,
+/// `ENFILE`, `ENOBUFS`, `ENOMEM`) — will fail the same way immediately,
+/// so the acceptor counts it and backs off instead.
+fn is_transient_accept_error(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::Interrupted
+            | io::ErrorKind::ConnectionAborted
+            | io::ErrorKind::ConnectionReset
+    )
+}
+
+/// The acceptor: blocks in `accept()` and admits each connection to the
+/// bounded queue. Exits only when `stop` is set (checked every time
+/// `accept` returns — [`Server::shutdown`] connects once to make it
+/// return) or when every worker is gone.
+fn accept_loop(listener: TcpListener, tx: Sender<Queued>, stop: &AtomicBool, state: &AppState) {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
+            // Bounded admission: a full queue sheds the connection with
+            // an immediate 429 instead of queueing work the pool cannot
+            // reach — in-flight and already-queued requests keep their
+            // workers.
+            Ok((stream, _)) => match tx.try_send((stream, Instant::now())) {
+                Ok(()) => {}
+                Err(TrySendError::Full((stream, _))) => {
+                    state.note_shed();
+                    shed(stream);
+                }
+                Err(TrySendError::Disconnected(_)) => break,
+            },
+            Err(e) if is_transient_accept_error(&e) => {}
+            Err(_) => {
+                state.note_accept_error();
+                std::thread::sleep(ACCEPT_BACKOFF);
+            }
+        }
+    }
+    // Dropping tx closes the channel; workers drain and exit.
 }
 
 /// The load-shed reply: `429` + `Retry-After`, written inline by the
@@ -209,7 +266,7 @@ fn reject(mut stream: TcpStream, resp: Response) {
 }
 
 fn worker_loop(
-    rx: Receiver<(TcpStream, Instant)>,
+    rx: Receiver<Queued>,
     state: Arc<AppState>,
     read_timeout: Duration,
     queue_deadline: Option<Duration>,
@@ -220,7 +277,9 @@ fn worker_loop(
         // deadline gets an honest 504 instead of a stale answer; the
         // client has likely timed out already. Requests a worker has
         // begun serving are never cut off.
-        if queue_deadline.is_some_and(|d| accepted_at.elapsed() > d) {
+        let waited = accepted_at.elapsed();
+        state.note_admission_wait(waited);
+        if queue_deadline.is_some_and(|d| waited > d) {
             let resp = Response::json(
                 504,
                 r#"{"error":"timed out waiting in the admission queue"}"#
@@ -732,11 +791,185 @@ mod tests {
         server.shutdown();
     }
 
+    /// One pipeline-less server on `addr`: every endpoint answers a
+    /// complete 503, which is all the acceptor tests below need.
+    fn start_deferred_server(addr: &str) -> Server {
+        Server::start_with_state(
+            Arc::new(AppState::deferred()),
+            ServerConfig {
+                addr: addr.parse().unwrap(),
+                workers: 2,
+                read_timeout: Duration::from_secs(2),
+                ..Default::default()
+            },
+        )
+        .expect("server starts")
+    }
+
+    /// A new connection is served when it arrives: the polling acceptor
+    /// this replaced could not answer a one-shot client in under 5 ms.
+    #[test]
+    fn fresh_connections_do_not_wait_for_a_poll() {
+        let server = start_test_server();
+        let mut took: Vec<Duration> = (0..50)
+            .map(|_| {
+                let t0 = Instant::now();
+                let reply = request(server.addr(), "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+                assert!(reply.starts_with("HTTP/1.1 200"), "reply: {reply}");
+                t0.elapsed()
+            })
+            .collect();
+        took.sort();
+        let median = took[took.len() / 2];
+        assert!(median < Duration::from_millis(2), "median {median:?}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn accept_errors_are_classified() {
+        for kind in [
+            io::ErrorKind::Interrupted,
+            io::ErrorKind::ConnectionAborted,
+            io::ErrorKind::ConnectionReset,
+        ] {
+            assert!(
+                is_transient_accept_error(&io::Error::from(kind)),
+                "{kind:?}"
+            );
+        }
+        // EMFILE, ENFILE, ENOBUFS, ENOMEM (Linux numbers), and anything
+        // else unforeseen: back off, never retry in a tight loop.
+        for errno in [24, 23, 105, 12] {
+            let e = io::Error::from_raw_os_error(errno);
+            assert!(!is_transient_accept_error(&e), "{e}");
+        }
+        assert!(!is_transient_accept_error(&io::Error::other("unforeseen")));
+    }
+
+    /// The admission wait is observed once per connection — however many
+    /// requests it carries, and before any pipeline is published.
+    #[test]
+    fn admission_wait_is_observed_once_per_connection() {
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let server = Server::start_deferred(
+            ServerConfig {
+                addr: "127.0.0.1:0".parse().unwrap(),
+                workers: 1,
+                ..Default::default()
+            },
+            move || {
+                release_rx.recv().ok();
+                ChatIyp::new(generate(&IypConfig::tiny()), ChatIypConfig::default())
+            },
+        )
+        .unwrap();
+        // Connection 1, before the pipeline exists: two pipelined
+        // requests, the second closing it.
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.write_all(
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n\
+              GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+        )
+        .unwrap();
+        let mut out = String::new();
+        s.read_to_string(&mut out).unwrap();
+        assert_eq!(out.matches("HTTP/1.1 503").count(), 2, "{out}");
+
+        release_tx.send(()).unwrap();
+        let mut connections = 1;
+        let metrics = loop {
+            connections += 1;
+            let reply = request(server.addr(), "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+            if reply.starts_with("HTTP/1.1 200") {
+                break reply;
+            }
+            assert!(connections < 500, "never ready: {reply}");
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        assert!(
+            metrics.contains(&format!(
+                "\nchatiyp_admission_wait_seconds_count {connections}\n"
+            )),
+            "{connections} connections: {metrics}"
+        );
+        assert!(
+            metrics.contains("\nchatiyp_accept_errors_total 0\n"),
+            "{metrics}"
+        );
+        server.shutdown();
+    }
+
+    /// Shutdown wakes the blocked acceptor at once — by `shutdown` or by
+    /// `Drop`, and on a wildcard bind address, which is not itself
+    /// connectable.
     #[test]
     fn shutdown_joins_quickly() {
-        let server = start_test_server();
-        let t0 = std::time::Instant::now();
-        server.shutdown();
-        assert!(t0.elapsed() < Duration::from_secs(2));
+        fn assert_stops_quickly(addr: &str, stop: fn(Server)) {
+            let server = start_deferred_server(addr);
+            let t0 = Instant::now();
+            stop(server);
+            let took = t0.elapsed();
+            assert!(took < Duration::from_millis(250), "{addr}: {took:?}");
+        }
+        assert_stops_quickly("127.0.0.1:0", Server::shutdown);
+        assert_stops_quickly("0.0.0.0:0", Server::shutdown);
+        assert_stops_quickly("127.0.0.1:0", drop);
+    }
+
+    /// Whether `raw` is one whole response: a status line, headers, and
+    /// exactly `content-length` body bytes.
+    fn is_complete_reply(raw: &[u8]) -> bool {
+        let text = String::from_utf8_lossy(raw);
+        let Some((head, body)) = text.split_once("\r\n\r\n") else {
+            return false;
+        };
+        head.starts_with("HTTP/1.1 ")
+            && head
+                .lines()
+                .find_map(|l| l.strip_prefix("content-length: "))
+                .is_some_and(|n| n.parse() == Ok(body.len()))
+    }
+
+    /// A client that connects while the server is stopping gets either a
+    /// complete reply or a closed socket — never a hang, on either side.
+    #[test]
+    fn connect_racing_shutdown_never_hangs() {
+        use std::sync::Barrier;
+        let t0 = Instant::now();
+        for round in 0..50 {
+            let server = start_deferred_server("127.0.0.1:0");
+            let addr = server.addr();
+            let go = Arc::new(Barrier::new(2));
+            let client_go = Arc::clone(&go);
+            let client = std::thread::spawn(move || {
+                client_go.wait();
+                let Ok(mut s) = TcpStream::connect(addr) else {
+                    return Ok(Vec::new()); // already closed
+                };
+                s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+                let _ =
+                    s.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+                let mut out = Vec::new();
+                match s.read_to_end(&mut out) {
+                    Ok(_) => Ok(out),
+                    // A reset is a closed socket too.
+                    Err(e) if e.kind() == io::ErrorKind::ConnectionReset => Ok(out),
+                    Err(e) => Err(format!("client hung: {e}")),
+                }
+            });
+            go.wait();
+            server.shutdown();
+            let out = client
+                .join()
+                .unwrap()
+                .unwrap_or_else(|e| panic!("round {round}: {e}"));
+            assert!(
+                out.is_empty() || is_complete_reply(&out),
+                "round {round}: partial reply {:?}",
+                String::from_utf8_lossy(&out)
+            );
+        }
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(5), "{took:?}");
     }
 }
